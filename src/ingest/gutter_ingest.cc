@@ -107,7 +107,8 @@ void GutterIngest::submit(const EdgeDelta& delta) {
                                                  buffered_);
   if (gutters_[g].size() >= capacity_) {
     ++stats_.capacity_drains;
-    drain(g);
+    take(gutters_[g]);
+    deliver();
   }
 }
 
@@ -117,36 +118,40 @@ void GutterIngest::submit(std::span<const EdgeDelta> deltas) {
   for (const EdgeDelta& d : deltas) submit(d);
 }
 
-void GutterIngest::drain(std::size_t g) {
-  std::vector<EdgeDelta>& gutter = gutters_[g];
-  if (gutter.empty()) return;
+void GutterIngest::take(std::vector<EdgeDelta>& gutter) {
+  batch_.insert(batch_.end(), gutter.begin(), gutter.end());
   buffered_ -= gutter.size();
-  if (direct_path_) {
-    deliver_direct(gutter);
-  } else {
-    enqueue(gutter);
-  }
-}
-
-void GutterIngest::deliver_direct(std::vector<EdgeDelta>& gutter) {
-  // A gutter flush is ONE scheduled batch: the scheduler's probe/bisect/
-  // retry/grow loop and the fault injector see exactly what a synchronous
-  // front end would have delivered.
-  routed_ingest(cluster_, universe_, gutter, label_, sketches_,
-                routed_scratch_, mode_, simulator_, scheduler_);
-  ++stats_.direct_batches;
   gutter.clear();
 }
 
-void GutterIngest::enqueue(std::vector<EdgeDelta>& gutter) {
+void GutterIngest::deliver() {
+  // buffered_ stopped counting these deltas when take() moved them into
+  // batch_, so the batch leaves batch_ however the delivery ends: a
+  // throwing delivery loses it (the front ends poison their repair state
+  // on a throwing flush) instead of leaving it to be delivered twice.
+  struct Consume {
+    std::vector<EdgeDelta>& batch;
+    ~Consume() { batch.clear(); }
+  } consume{batch_};
+  if (direct_path_) {
+    // A delivered batch is ONE scheduled batch: the scheduler's probe/
+    // bisect/retry/grow loop and the fault injector see exactly what a
+    // synchronous front end would have delivered.
+    routed_ingest(cluster_, universe_, batch_, label_, sketches_,
+                  routed_scratch_, mode_, simulator_, scheduler_);
+    ++stats_.direct_batches;
+  } else {
+    enqueue();
+  }
+}
+
+void GutterIngest::enqueue() {
   std::unique_lock<std::mutex> lock(mu_);
   std::unique_ptr<DrainJob> job = acquire_job(lock);
   lock.unlock();
   job->ready = false;
   job->error = nullptr;
-  job->deltas.clear();
-  std::swap(job->deltas, gutter);  // both buffers keep their capacity
-  gutter.clear();
+  std::swap(job->deltas, batch_);  // both buffers keep their capacity
   // Stage on the writer thread (route_batch is a read-only pass over the
   // cluster); the worker only ever sees an immutable CSR.
   if (cluster_ != nullptr && mode_ == mpc::ExecMode::kRouted) {
@@ -235,10 +240,21 @@ void GutterIngest::worker_loop() {
 
 void GutterIngest::flush() {
   ++stats_.flushes;
-  for (std::size_t g = 0; g < gutters_.size(); ++g) {
-    if (gutters_[g].empty()) continue;
+  // Pack whole gutters, in ascending index order, into as few batches as
+  // the capacity allows: one route, one ledger round and one merge per
+  // packed batch instead of one per gutter.  submit() drains a gutter the
+  // moment it fills, so every gutter fits into an empty batch.
+  for (std::vector<EdgeDelta>& gutter : gutters_) {
+    if (gutter.empty()) continue;
+    if (batch_.size() + gutter.size() > capacity_) {
+      ++stats_.flush_drains;
+      deliver();
+    }
+    take(gutter);
+  }
+  if (!batch_.empty()) {
     ++stats_.flush_drains;
-    drain(g);
+    deliver();
   }
   if (direct_path_) return;
   std::unique_lock<std::mutex> lock(mu_);

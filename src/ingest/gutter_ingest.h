@@ -10,31 +10,38 @@
 //   * submit() appends each EdgeDelta to the gutter of the vertex block
 //     holding its lower endpoint (per-machine gutters under a cluster's
 //     contiguous-block partitioner; the block formula is the same with or
-//     without a cluster).  Each delta is stored ONCE, so a drain delivers
-//     the original batch and the CommLedger charges come out exactly equal
-//     to direct ingest of that batch;
-//   * a full gutter drains: the writer stages the batch (Cluster::
-//     route_batch under kRouted, a 1-machine flat CSR otherwise) and hands
-//     the job to a worker thread, which accumulates a *delta sketch* into
-//     a reusable scratch arena set (sketch/delta_sketch.h) — all the
-//     hashing happens off the writer thread;
+//     without a cluster).  Each delta is stored ONCE, so a delivered batch
+//     holds the original deltas and the CommLedger charges come out
+//     exactly equal to direct ingest of that batch;
+//   * a full gutter drains as one batch; flush() packs the remaining
+//     non-empty gutters, whole and in ascending index order, into as few
+//     batches of at most gutter_capacity deltas as fit — one route, one
+//     ledger round and one merge per packed batch, not per gutter;
+//   * the writer stages each batch (Cluster::route_batch under kRouted, a
+//     1-machine flat CSR otherwise) and hands the job to a worker thread,
+//     which accumulates a *delta sketch* into a reusable scratch arena set
+//     (sketch/delta_sketch.h) — all the hashing happens off the writer
+//     thread;
 //   * the writer merges completed jobs into the resident shard IN
 //     SUBMISSION ORDER through the ExecPlan::run choke point
 //     (VertexSketches::merge_delta) — so the mutation epoch, the query
 //     cache, and the ledger see the same deterministic sequence for every
 //     worker count, and the resident arenas come out byte-identical to
 //     synchronous ingest of the same drain batches;
-//   * under kSimulated mode the drain instead delivers through
-//     routed_ingest on the writer thread: a gutter flush IS one scheduled
-//     batch, so the BatchScheduler's probe/bisect/retry/grow loop and the
-//     fault injector compose unchanged (a precomputed delta sketch cannot
-//     survive a bisection, so that path does not precompute).
+//   * under kSimulated mode a batch instead delivers through
+//     routed_ingest on the writer thread: a delivered batch IS one
+//     scheduled batch, so the BatchScheduler's probe/bisect/retry/grow
+//     loop and the fault injector compose unchanged (a precomputed delta
+//     sketch cannot survive a bisection, so that path does not
+//     precompute).
 //
-// Flush semantics: flush() drains every gutter and blocks until every
-// pending job is merged; the destructor flushes (swallowing errors — call
-// flush() explicitly to observe them); front ends flush before ANY sketch
-// read (flush-on-query).  Queries between submit() and flush() see the
-// resident state as of the last merged drain.
+// Flush semantics: flush() delivers every buffered delta and blocks until
+// every pending job is merged; a delivery that throws still consumes its
+// batch, so buffered() counts exactly the deltas the gutters hold and no
+// delta is delivered twice.  The destructor flushes (swallowing errors —
+// call flush() explicitly to observe them); front ends flush before ANY
+// sketch read (flush-on-query).  Queries between submit() and flush() see
+// the resident state as of the last merged drain.
 //
 // Thread contract: submit()/flush()/stats() are writer-side (one thread —
 // the same thread that owns the sketches).  Worker threads touch only
@@ -112,7 +119,8 @@ class GutterIngest {
   void submit(const EdgeDelta& delta);
   void submit(std::span<const EdgeDelta> deltas);
 
-  // Drains every non-empty gutter (ascending gutter index) and blocks
+  // Packs every non-empty gutter (whole, ascending gutter index) into
+  // batches of at most gutter_capacity deltas, delivers them, and blocks
   // until every pending job is merged into the resident shard.  Rethrows
   // the first delivery error (validation, strict budget rejection,
   // scheduler exhaustion); the front ends treat a throwing flush as
@@ -129,7 +137,7 @@ class GutterIngest {
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t capacity_drains = 0;  // gutter filled during submit()
-    std::uint64_t flush_drains = 0;     // partial gutters drained by flush()
+    std::uint64_t flush_drains = 0;     // packed batches delivered by flush()
     std::uint64_t flushes = 0;
     std::uint64_t delta_batches = 0;   // merged from worker delta sketches
     std::uint64_t direct_batches = 0;  // delivered through routed_ingest
@@ -153,11 +161,14 @@ class GutterIngest {
     return static_cast<std::size_t>(
         static_cast<std::uint64_t>(e.u) * gutters_.size() / universe_);
   }
-  void drain(std::size_t g);
-  // Synchronous writer-thread delivery (kSimulated: scheduler/faults).
-  void deliver_direct(std::vector<EdgeDelta>& gutter);
-  // Hands `gutter`'s contents to a worker as a delta-sketch job.
-  void enqueue(std::vector<EdgeDelta>& gutter);
+  // Moves `gutter`'s deltas onto the end of batch_.
+  void take(std::vector<EdgeDelta>& gutter);
+  // Delivers batch_ and leaves it empty, even when the delivery throws:
+  // synchronously on the writer under kSimulated (scheduler/faults),
+  // otherwise as a worker delta-sketch job.
+  void deliver();
+  // Hands batch_ to a worker as a delta-sketch job.
+  void enqueue();
   // Merges every completed job at the head of merge_queue_, in submission
   // order.  Called with `lock` held; unlocks around each merge.
   void merge_ready(std::unique_lock<std::mutex>& lock);
@@ -180,6 +191,7 @@ class GutterIngest {
 
   std::vector<std::vector<EdgeDelta>> gutters_;
   std::size_t buffered_ = 0;
+  std::vector<EdgeDelta> batch_;     // the batch being delivered
   mpc::RoutedBatch routed_scratch_;  // direct-path staging only
   Stats stats_;
 

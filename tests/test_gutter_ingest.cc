@@ -6,15 +6,19 @@
 //     capacity x drain-thread x gutter-count cell, for insert-only and
 //     mixed streams;
 //   * under kRouted mode the drains charge the CommLedger exactly what
-//     direct routed ingest of the same drain batches charges;
+//     direct routed ingest of the same drain batches charges, and flush()
+//     packs the per-machine gutters into capacity-bounded batches (one
+//     round for a sub-capacity remainder, whatever the gutter count);
 //   * flush semantics: flush-on-query, explicit flush(), destructor
-//     flush, and the empty flush delivering (and charging) nothing;
+//     flush, the empty flush delivering (and charging) nothing, and a
+//     failed delivery consuming its batch;
 //   * under kSimulated mode drains deliver synchronously through the
 //     batch scheduler (a gutter flush is one scheduled batch), so
 //     bisect/retry composes unchanged;
 //   * the three connectivity front ends produce byte-identical snapshots
 //     with async_ingest on and off, across interleaved insert/delete
-//     streams and drain thread counts {1, 2, 8};
+//     streams and drain thread counts {1, 2, 8}, and async ingest bills
+//     no more sketch-update rounds than sync ingest;
 //   * concurrent snapshot readers run against a submitting/flushing
 //     writer (the TSan gate for the drain-worker hand-off: resident
 //     mutation stays writer-side, the AtomicSharedPtr slot stays the only
@@ -352,6 +356,145 @@ TEST(GutterIngest, RoutedDrainsChargeExactlyLikeDirectIngest) {
   EXPECT_EQ(gutter_vs.mutation_epoch(), direct_vs.mutation_epoch());
 }
 
+TEST(GutterIngest, RoutedFlushPacksEveryGutterIntoOneRound) {
+  // Default geometry: one gutter per machine.  Sub-capacity deltas spread
+  // over every gutter are delivered by ONE flush batch — the concatenation
+  // of the gutters in ascending index order — so the ledger matches one
+  // routed_ingest of that concatenation word for word, machine by machine.
+  const VertexId n = 64;
+  const std::uint64_t machines = 4;
+  const GraphSketchConfig cfg = sketch_config(n, 8511, 4);
+  const auto deltas = random_deltas(n, 200, 8512);
+  // Gutter block formula: lower endpoint u, `machines` blocks of [0, n).
+  std::vector<std::vector<EdgeDelta>> by_gutter(machines);
+  for (const EdgeDelta& d : deltas)
+    by_gutter[static_cast<std::uint64_t>(d.e.u) * machines / n].push_back(d);
+  std::vector<EdgeDelta> concatenation;
+  for (const auto& g : by_gutter) {
+    ASSERT_FALSE(g.empty());  // every gutter takes part in the flush
+    concatenation.insert(concatenation.end(), g.begin(), g.end());
+  }
+
+  mpc::Cluster direct_cluster = test::make_cluster(n, machines);
+  VertexSketches direct_vs(n, cfg);
+  mpc::RoutedBatch scratch;
+  routed_ingest(&direct_cluster, n, concatenation, "gutter-parity",
+                direct_vs, scratch, mpc::ExecMode::kRouted);
+
+  mpc::Cluster gutter_cluster = test::make_cluster(n, machines);
+  VertexSketches gutter_vs(n, cfg);
+  GutterIngestConfig gc;
+  gc.drain_threads = 2;
+  gc.label = "gutter-parity";
+  GutterIngest gutter(n, gutter_vs, gc, &gutter_cluster,
+                      mpc::ExecMode::kRouted);
+  ASSERT_EQ(gutter.gutters(), machines);
+  ASSERT_LT(deltas.size(), gc.gutter_capacity);
+  gutter.submit(std::span<const EdgeDelta>(deltas));
+  gutter.flush();
+  EXPECT_EQ(gutter.stats().capacity_drains, 0u);
+  EXPECT_EQ(gutter.stats().flush_drains, 1u);
+  EXPECT_EQ(gutter_cluster.comm_ledger().rounds(), 1u);
+  EXPECT_EQ(gutter_cluster.rounds_by_label().at("gutter-parity"), 1u);
+  EXPECT_EQ(gutter_cluster.comm_total(), direct_cluster.comm_total());
+  EXPECT_EQ(gutter_cluster.comm_ledger().total_words(),
+            direct_cluster.comm_ledger().total_words());
+  EXPECT_EQ(gutter_cluster.comm_ledger().words_by_machine(),
+            direct_cluster.comm_ledger().words_by_machine());
+  EXPECT_EQ(gutter_cluster.comm_ledger().max_machine_load(),
+            direct_cluster.comm_ledger().max_machine_load());
+  expect_identical_vertex_state(direct_vs, gutter_vs, "packed-flush");
+  EXPECT_EQ(gutter_vs.mutation_epoch(), direct_vs.mutation_epoch());
+}
+
+TEST(GutterIngest, RoutedFlushPacksGuttersUnderTheCapacity) {
+  // A capacity small enough that gutters fill during submit() and the
+  // flush needs several packed batches.  The expected deliveries are
+  // rebuilt here from the documented policy — a gutter drains the moment
+  // it holds `capacity` deltas; flush() packs whole gutters, ascending,
+  // greedily into batches of at most `capacity` — and routed directly;
+  // rounds, per-machine words and the largest single-round load must match.
+  const VertexId n = 64;
+  const std::uint64_t machines = 8;
+  const std::size_t capacity = 24;
+  const GraphSketchConfig cfg = sketch_config(n, 8521, 4);
+  const auto deltas = random_deltas(n, 230, 8522);
+
+  std::vector<std::vector<EdgeDelta>> expected;
+  std::vector<std::vector<EdgeDelta>> model(machines);
+  std::size_t capacity_batches = 0;
+  for (const EdgeDelta& d : deltas) {
+    auto& g = model[static_cast<std::uint64_t>(d.e.u) * machines / n];
+    g.push_back(d);
+    if (g.size() == capacity) {
+      expected.push_back(std::move(g));
+      g.clear();
+      ++capacity_batches;
+    }
+  }
+  std::vector<EdgeDelta> packed;
+  std::size_t nonempty_gutters = 0;
+  for (const auto& g : model) {
+    if (g.empty()) continue;
+    ++nonempty_gutters;
+    if (packed.size() + g.size() > capacity) {
+      expected.push_back(std::move(packed));
+      packed.clear();
+    }
+    packed.insert(packed.end(), g.begin(), g.end());
+  }
+  if (!packed.empty()) expected.push_back(std::move(packed));
+  const std::size_t flush_batches = expected.size() - capacity_batches;
+  ASSERT_GT(capacity_batches, 0u);
+  ASSERT_GT(flush_batches, 1u);                 // the flush really packs...
+  ASSERT_LT(flush_batches, nonempty_gutters);   // ...more than one gutter
+
+  mpc::Cluster direct_cluster = test::make_cluster(n, machines);
+  VertexSketches direct_vs(n, cfg);
+  mpc::RoutedBatch scratch;
+  for (const auto& batch : expected) {
+    ASSERT_LE(batch.size(), capacity);
+    routed_ingest(&direct_cluster, n, batch, "gutter-parity", direct_vs,
+                  scratch, mpc::ExecMode::kRouted);
+  }
+
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string where = "packed/threads=" + std::to_string(threads);
+    mpc::Cluster gutter_cluster = test::make_cluster(n, machines);
+    VertexSketches gutter_vs(n, cfg);
+    GutterIngestConfig gc;
+    gc.gutter_capacity = capacity;
+    gc.drain_threads = threads;
+    gc.label = "gutter-parity";
+    GutterIngest gutter(n, gutter_vs, gc, &gutter_cluster,
+                        mpc::ExecMode::kRouted);
+    gutter.submit(std::span<const EdgeDelta>(deltas));
+    gutter.flush();
+    const auto& st = gutter.stats();
+    EXPECT_EQ(st.capacity_drains, capacity_batches) << where;
+    EXPECT_EQ(st.flush_drains, flush_batches) << where;
+    const auto& ledger = gutter_cluster.comm_ledger();
+    EXPECT_EQ(ledger.rounds(), st.capacity_drains + st.flush_drains)
+        << where;
+    EXPECT_EQ(ledger.rounds(), direct_cluster.comm_ledger().rounds())
+        << where;
+    EXPECT_EQ(ledger.words_by_machine(),
+              direct_cluster.comm_ledger().words_by_machine())
+        << where;
+    EXPECT_EQ(ledger.max_machine_load(),
+              direct_cluster.comm_ledger().max_machine_load())
+        << where;
+    // No delivered batch exceeds the capacity: each delta lands at most
+    // once per machine, so one round's load on a machine is bounded.
+    EXPECT_LE(ledger.max_machine_load(),
+              capacity * mpc::RoutedBatch::kWordsPerDelta)
+        << where;
+    expect_identical_vertex_state(direct_vs, gutter_vs, where);
+    EXPECT_EQ(gutter_vs.mutation_epoch(), direct_vs.mutation_epoch())
+        << where;
+  }
+}
+
 // --- flush semantics ---------------------------------------------------------
 
 TEST(GutterIngest, EmptyFlushDeliversNothingAndChargesNothing) {
@@ -397,6 +540,35 @@ TEST(GutterIngest, DestructorFlushesBufferedDeltas) {
   }  // destructor flush
   EXPECT_GT(vs.mutation_epoch(), 0u);
   expect_identical_vertex_state(flat, vs, "destructor-flush");
+}
+
+TEST(GutterIngest, FailedDeliveryConsumesItsBatch) {
+  // A strict cluster and a 1-word scratch budget: the simulator rejects
+  // the flush batch before charging anything.  The rejected batch is
+  // consumed — buffered() reads 0, and a second flush has nothing left to
+  // deliver (no round, no epoch bump, no counter wrap).
+  const VertexId n = 64;
+  mpc::Cluster cluster = test::make_cluster(n, 4, 0.5, /*strict=*/true);
+  mpc::Simulator sim(cluster, 1, 1);
+  VertexSketches vs(n, sketch_config(n, 8751, 4));
+  GutterIngest gutter(n, vs, {}, &cluster, mpc::ExecMode::kSimulated, &sim);
+  gutter.submit(std::span<const EdgeDelta>(random_deltas(n, 8, 8752)));
+  ASSERT_EQ(gutter.buffered(), 8u);
+  EXPECT_THROW(gutter.flush(), mpc::MemoryBudgetExceeded);
+  EXPECT_EQ(gutter.buffered(), 0u);
+  EXPECT_EQ(gutter.stats().direct_batches, 0u);
+
+  const std::uint64_t rounds = cluster.rounds();
+  const std::uint64_t ledger_rounds = cluster.comm_ledger().rounds();
+  const std::uint64_t epoch = vs.mutation_epoch();
+  const std::uint64_t flush_drains = gutter.stats().flush_drains;
+  EXPECT_NO_THROW(gutter.flush());
+  EXPECT_EQ(gutter.buffered(), 0u);
+  EXPECT_EQ(gutter.stats().flush_drains, flush_drains);
+  EXPECT_EQ(gutter.stats().direct_batches, 0u);
+  EXPECT_EQ(cluster.rounds(), rounds);
+  EXPECT_EQ(cluster.comm_ledger().rounds(), ledger_rounds);
+  EXPECT_EQ(vs.mutation_epoch(), epoch);
 }
 
 // --- kSimulated composition: a drain is one scheduled batch ------------------
@@ -485,6 +657,51 @@ TEST(GutterFrontEnds, DynamicConnectivityAsyncMatchesSyncByteIdentically) {
     expect_identical_vertex_state(sync_dc.sketches(), async_dc.sketches(),
                                   where);
   }
+}
+
+TEST(GutterFrontEnds, DynamicConnectivityAsyncKeepsTheSketchUpdateRoundBudget) {
+  // The paper's batch model charges one sketch-update round per applied
+  // batch.  With a batch no larger than the gutter capacity, a flush packs
+  // every per-machine gutter into one delivery, so async ingest bills
+  // exactly what sync ingest bills on an insert-only stream, and never
+  // more on a mixed one (deletes flush inserts and deletes together).
+  const VertexId n = 48;
+  const std::uint64_t machines = 4;
+  const auto sketch_update_rounds = [&](const std::vector<Batch>& stream,
+                                        bool async) {
+    mpc::Cluster cluster = test::make_cluster(n, machines);
+    ConnectivityConfig cc;
+    cc.sketch = sketch_config(n, 9050);
+    cc.exec_mode = mpc::ExecMode::kRouted;
+    cc.async_ingest = async;
+    cc.gutter.drain_threads = 2;
+    DynamicConnectivity dc(n, cc, &cluster);
+    if (async) {
+      EXPECT_EQ(dc.gutter()->gutters(), machines);
+      for (const Batch& batch : stream)
+        EXPECT_LE(batch.size(), cc.gutter.gutter_capacity);
+    }
+    for (const Batch& batch : stream) {
+      dc.apply_batch(batch);
+      dc.snapshot();  // flush-on-query after every batch
+    }
+    return cluster.rounds_by_label().at("connectivity/sketch-update");
+  };
+
+  Rng rng(9051);
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.num_batches = 8;
+  opt.batch_size = 24;
+  opt.delete_fraction = 0.0;
+  const auto inserts = gen::churn_stream(opt, rng);
+  const std::uint64_t sync_inserts = sketch_update_rounds(inserts, false);
+  EXPECT_EQ(sync_inserts, inserts.size());
+  EXPECT_EQ(sketch_update_rounds(inserts, true), sync_inserts);
+
+  const auto mixed = mixed_stream(n, 9052);
+  EXPECT_LE(sketch_update_rounds(mixed, true),
+            sketch_update_rounds(mixed, false));
 }
 
 TEST(GutterFrontEnds, StreamingConnectivityAsyncMatchesSyncByteIdentically) {
