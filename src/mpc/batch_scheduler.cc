@@ -248,11 +248,12 @@ void BatchScheduler::do_grow(const std::string& label,
   // Fold the resident distribution at the NEW count — those are exactly
   // the words each new machine receives — and put the full volume on the
   // ledger (honest accounting: re-partitioning is not free).
-  resident_scratch_.assign(after, 0);
   if (sketches) {
-    for (std::uint64_t m = 0; m < after; ++m)
-      resident_scratch_[m] = sketches->resident_words(m, cluster_);
+    const std::span<const std::uint64_t> folded =
+        simulator_.resident_fold(*sketches);
+    resident_scratch_.assign(folded.begin(), folded.end());
   } else {
+    resident_scratch_.assign(after, 0);
     target->resident(resident_scratch_);
   }
   std::uint64_t moved = 0;

@@ -27,8 +27,9 @@
 //    local memory s, and a machine's claim on it is not just the delivered
 //    sub-batch (scratch) but the sketch shard it hosts *permanently* —
 //    the arena pages of its vertex block (resident).  Before every
-//    delivery the executor folds resident[m] =
-//    VertexSketches::resident_words(m, cluster) per machine, charges
+//    delivery the executor reads resident[m] =
+//    VertexSketches::resident_words(m, cluster) per machine from the
+//    sketches' incremental fold (VertexSketches::resident_fold), charges
 //    resident + delivered against the budget, records the peaks on the
 //    CommLedger, and surfaces both components in Stats.  The batch-dynamic
 //    MPC line (Nowicki–Onak, arXiv:2002.07800) and the round-compression
@@ -153,6 +154,10 @@ class Simulator {
     std::uint64_t crash_faults = 0;
     std::uint64_t rollbacks = 0;
     std::uint64_t rolled_back_updates = 0;
+    // Resident folds that had to start over from the sketches' owner
+    // arrays — after a rollback or a machine-count change; 0 on a steady
+    // stream, whose folds only add the pages appended since the last one.
+    std::uint64_t resident_refolds = 0;
   };
 
   // `scratch_words` bounds each simulated machine's claim for one step
@@ -240,6 +245,13 @@ class Simulator {
   // cluster under "<label>/scheduler-split").
   void note_scheduler_split() { ++stats_.scheduler_splits; }
 
+  // Each machine's resident sketch-shard words at the cluster's current
+  // geometry (VertexSketches::resident_fold, which keeps the fold
+  // incrementally), with any full refold it needed counted in
+  // stats().resident_refolds.  The fold every probe and execute charges;
+  // public so the scheduler's grow step reads the same one.
+  std::span<const std::uint64_t> resident_fold(const VertexSketches& sketches);
+
   // Attaches a deterministic fault plan (nullptr = none, the default).
   // With an injector attached, every sketch delivery runs transactionally
   // (VertexSketches::begin_transaction bracketing the grid): a crash
@@ -284,10 +296,6 @@ class Simulator {
   // fault fires.
   bool scan_cell_faults(const RoutedBatch& routed, unsigned banks,
                         std::uint64_t* fault_machine, unsigned* fault_bank);
-  // Folds (with memoization) each machine's resident sketch-shard words
-  // into resident_scratch_ and returns it.
-  std::span<const std::uint64_t> resident_fold(const VertexSketches& sketches,
-                                               std::uint64_t machines);
   // Effective per-machine budget: strict clusters are additionally bound
   // by local memory s (see the ctor comment).
   std::uint64_t effective_budget() const;
@@ -301,16 +309,8 @@ class Simulator {
   std::unique_ptr<ThreadPool> pool_;  // lazily created for grid_threads > 1
   std::vector<std::uint64_t> order_scratch_;     // ascending ids, reused
   std::vector<char> seen_scratch_;               // permutation check, reused
-  std::vector<std::uint64_t> resident_scratch_;  // [machine], reused
   ExecPlan plan_;  // the shared grid executor, buffers reused
   std::uint64_t fault_step_scratch_ = 0;  // step id of the last fired fault
-  // Resident-fold memo: the per-machine resident distribution changes only
-  // when the allocation watermark moves — growth from ingest, or the exact
-  // restoration of a rollback (which returns both the watermark and the
-  // distribution to the cached pre-batch state) — so the O(n)-scan fold is
-  // re-run only on a changed watermark (O(banks * stores) to check).
-  const VertexSketches* resident_cache_sketches_ = nullptr;
-  std::uint64_t resident_cache_words_ = 0;
 };
 
 }  // namespace mpc

@@ -160,6 +160,7 @@ void BankArena::rollback_pages() {
   snap_rollback_store(hot_snap_, hot_, hot_cells_);
   for (std::size_t i = 0; i < overflow_.size(); ++i)
     snap_rollback_store(overflow_snap_[i], overflow_[i], cells_per_level_);
+  ++generation_;
   txn_active_ = false;
 }
 
@@ -185,6 +186,35 @@ std::uint64_t BankArena::resident_words(VertexId lo, VertexId hi) const {
     words += store_words(store, cells_per_level_);
   }
   return words;
+}
+
+void BankArena::fold_begin(FoldMark& mark) const {
+  mark.generation = generation_;
+  mark.folded.assign(1 + overflow_.size(), kMapUnfolded);
+}
+
+void BankArena::fold_resident(std::span<const std::uint32_t> machine_of,
+                              std::span<const std::uint64_t> map_share,
+                              FoldMark& mark,
+                              std::span<std::uint64_t> out) const {
+  SMPC_CHECK(mark.generation == generation_ &&
+             mark.folded.size() == 1 + overflow_.size());
+  SMPC_CHECK(machine_of.size() == n_ && map_share.size() == out.size());
+  const auto fold_store = [&](const Store& store, std::size_t cells,
+                              std::uint32_t& folded) {
+    if (store.page_of.empty()) return;
+    if (folded == kMapUnfolded) {
+      for (std::size_t m = 0; m < out.size(); ++m) out[m] += map_share[m];
+      folded = 0;
+    }
+    const std::uint64_t page_words = cells * 4;
+    for (std::uint32_t p = folded; p < store.pages; ++p)
+      out[machine_of[store.owner[p]]] += page_words;
+    folded = store.pages;
+  };
+  fold_store(hot_, hot_cells_, mark.folded[0]);
+  for (std::size_t i = 0; i < overflow_.size(); ++i)
+    fold_store(overflow_[i], cells_per_level_, mark.folded[i + 1]);
 }
 
 void BankArena::merge_into(const L0Params& params,
@@ -263,6 +293,7 @@ void BankArena::reset() {
   };
   reset_store(hot_);
   for (Store& store : overflow_) reset_store(store);
+  ++generation_;
 }
 
 void BankArena::merge_from(const BankArena& src) {

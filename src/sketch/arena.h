@@ -114,6 +114,32 @@ class BankArena {
   // one word of rounding per block.
   std::uint64_t resident_words(VertexId lo, VertexId hi) const;
 
+  // --- incremental resident fold (VertexSketches::resident_fold) ------------
+  // Pages are only ever appended to a store, and store.owner names each
+  // page's vertex, so a fold that remembers how far it got need only visit
+  // the pages appended since.  A FoldMark is that memory: per store, the
+  // pages already folded, or kMapUnfolded while the store's page map has
+  // not been charged yet.  Page *removal* (rollback_pages, reset) bumps
+  // generation(); a mark of an older generation no longer describes a
+  // prefix of the stores and must restart from fold_begin.
+  struct FoldMark {
+    std::uint64_t generation = 0;       // generation() the mark belongs to
+    std::vector<std::uint32_t> folded;  // [store] pages folded | kMapUnfolded
+  };
+  std::uint64_t generation() const { return generation_; }
+  // Restarts `mark` as an empty fold at the current generation.
+  void fold_begin(FoldMark& mark) const;
+  // Adds what was allocated since `mark` to out[machine] and advances the
+  // mark: cells * 4 words per new page to out[machine_of[owner]], and
+  // map_share[m] to every out[m] for each page map that appeared (a
+  // machine's half-word-per-entry share of a map over its vertex block).
+  // `machine_of` has one entry per vertex, `map_share` one per machine.
+  // Folded from fold_begin, out[m] equals resident_words over machine m's
+  // block exactly, at O(pages) cost instead of O(n * stores).
+  void fold_resident(std::span<const std::uint32_t> machine_of,
+                     std::span<const std::uint64_t> map_share, FoldMark& mark,
+                     std::span<std::uint64_t> out) const;
+
   // --- transactional ingest (fault tolerance, see mpc/fault_injector.h) -----
   // Brackets one batch's page preparation + apply pipeline so a faulted or
   // over-budget machine's partial grid work can be rolled back instead of
@@ -258,6 +284,8 @@ class BankArena {
 
  private:
   static constexpr std::uint32_t kNoPage = ~0u;
+  // FoldMark::folded entry of a store whose page map is not yet folded.
+  static constexpr std::uint32_t kMapUnfolded = ~0u;
   // Levels resolved through the single hot page map; depth >= kHotLevels
   // has probability 2^-kHotLevels.
   static constexpr unsigned kHotLevels = 1;
@@ -299,6 +327,7 @@ class BankArena {
   Store hot_;              // levels 0..hot_levels_-1, map sized on demand
   std::vector<Store> overflow_;  // [level - hot_levels_], maps lazily sized
   CoordPlan plan_;
+  std::uint64_t generation_ = 0;  // bumped by every page removal
   bool txn_active_ = false;
   StoreSnap hot_snap_;
   std::vector<StoreSnap> overflow_snap_;  // lazily sized to overflow_.size()

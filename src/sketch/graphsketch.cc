@@ -457,6 +457,40 @@ std::uint64_t VertexSketches::resident_words(std::uint64_t machine,
   return total;
 }
 
+std::span<const std::uint64_t> VertexSketches::resident_fold(
+    const mpc::Cluster& cluster) const {
+  ResidentFold& fold = fold_;
+  const std::uint64_t machines = cluster.machines();
+  bool stale = fold.machines != machines;
+  for (std::size_t b = 0; b < arenas_.size() && !stale; ++b)
+    stale = fold.marks[b].generation != arenas_[b].generation();
+  if (stale) {
+    if (fold.machines != 0) ++fold.refolds;
+    if (fold.machines != machines) {
+      // The partition tables: O(n + machines), only on a geometry change.
+      SMPC_CHECK(machines <= UINT32_MAX);
+      fold.machine_of.resize(n_);
+      fold.map_share.resize(machines);
+      for (std::uint64_t m = 0; m < machines; ++m) {
+        const auto [first, last] = cluster.vertex_block(m, n_);
+        std::fill(fold.machine_of.begin() + first,
+                  fold.machine_of.begin() + last,
+                  static_cast<std::uint32_t>(m));
+        fold.map_share[m] = (last - first) / 2;
+      }
+      fold.machines = machines;
+    }
+    fold.words.assign(machines, 0);
+    fold.marks.resize(arenas_.size());
+    for (std::size_t b = 0; b < arenas_.size(); ++b)
+      arenas_[b].fold_begin(fold.marks[b]);
+  }
+  for (std::size_t b = 0; b < arenas_.size(); ++b)
+    arenas_[b].fold_resident(fold.machine_of, fold.map_share, fold.marks[b],
+                             fold.words);
+  return fold.words;
+}
+
 void VertexSketches::merged_into(unsigned bank,
                                  std::span<const VertexId> vertices,
                                  L0Sampler& out) const {

@@ -274,6 +274,23 @@ class VertexSketches {
   std::uint64_t resident_words(std::uint64_t machine,
                                const mpc::Cluster& cluster) const;
 
+  // Every machine's resident words under `cluster`'s current geometry:
+  // entry m equals resident_words(m, cluster), word for word.  The fold
+  // lives here, with the pages it counts, and is kept incrementally: each
+  // call adds only the pages appended since the previous call
+  // (BankArena::fold_resident), so an insert-only stream pays O(new pages)
+  // per call instead of the O(n * banks * stores) map scan of
+  // resident_words.  A page removal (a rolled-back transaction, an arena
+  // reset) or a machine-count change (a scheduler grow) discards the fold
+  // and refolds from every store's owner array: O(pages).  The span stays
+  // valid until the next call.  Writer-side, like ingest: not safe against
+  // a concurrent mutation or a concurrent fold.
+  std::span<const std::uint64_t> resident_fold(
+      const mpc::Cluster& cluster) const;
+  // Times resident_fold discarded an earlier fold and refolded from the
+  // owner arrays (the first fold is not counted).
+  std::uint64_t resident_refolds() const { return fold_.refolds; }
+
   // Merged sampler of bank `bank` over a vertex set (Lemma 3.5's S_A).
   // The _into variant reuses `out`'s buffer across calls.
   L0Sampler merged(unsigned bank, std::span<const VertexId> vertices) const;
@@ -384,6 +401,18 @@ class VertexSketches {
   std::uint64_t auto_sharded_batches_ = 0;
   mpc::ExecPlan exec_plan_;  // the update_edges lowering, buffers reused
   std::uint64_t mutation_epoch_ = 0;  // see mutation_epoch()
+  // resident_fold state: the geometry it was folded at, the per-machine
+  // words, and each bank's fold mark.  A cache of the arenas, hence
+  // mutable.
+  struct ResidentFold {
+    std::uint64_t machines = 0;              // 0 = nothing folded yet
+    std::vector<std::uint32_t> machine_of;   // [vertex] hosting machine
+    std::vector<std::uint64_t> map_share;    // [machine] (block size) / 2
+    std::vector<std::uint64_t> words;        // [machine]
+    std::vector<BankArena::FoldMark> marks;  // [bank]
+    std::uint64_t refolds = 0;
+  };
+  mutable ResidentFold fold_;
 };
 
 // Deterministic CSR grouping for sample_boundaries(): assigns items

@@ -282,14 +282,18 @@ TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
   const auto edges = gen::gnm(n, 180, rng);
   const std::uint64_t resident = final_resident(n, cfg, edges, machines);
   ASSERT_GT(resident, 2u);
+  // No grow is this test's premise: pin it, so SMPC_GROW=double cannot
+  // turn the exhaustion path into a machine-growing one.
+  mpc::SchedulerConfig sc = bisect_config();
+  sc.grow = mpc::GrowPolicy::kNone;
 
   SchedRun run(n, cfg, machines, /*strict=*/true,
-               resident + kMarginWords, 1, bisect_config());
+               resident + kMarginWords, 1, sc);
   run.ingest(insert_deltas(edges), 48);
 
   // A second scheduler over a simulator whose budget is below the shard.
   mpc::Simulator tight_sim(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched(run.cluster, tight_sim, bisect_config());
+  mpc::BatchScheduler tight_sched(run.cluster, tight_sim, sc);
   const std::vector<EdgeDelta> one{{edges.front(), -1}};
   EXPECT_THROW(tight_sched.execute(one, n, "exhausted", run.vs),
                mpc::MemoryBudgetExceeded);
@@ -302,7 +306,7 @@ TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
   // control rounds charged — and the strict executor rejects pre-charge.
   const std::uint64_t rounds_before = run.cluster.rounds();
   mpc::Simulator tight_sim2(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched2(run.cluster, tight_sim2, bisect_config());
+  mpc::BatchScheduler tight_sched2(run.cluster, tight_sim2, sc);
   const auto big = delete_deltas(edges);  // 180 deltas, all unfixable
   EXPECT_THROW(tight_sched2.execute(big, n, "cascade", run.vs),
                mpc::MemoryBudgetExceeded);

@@ -1,9 +1,12 @@
 // Conformance suite for the per-machine simulation executor
 // (mpc::Simulator, ISSUE 3): across the full phi × machines matrix,
 // simulated == routed == flat ingest byte-identically; ledger round counts
-// match the O(1/phi) phase bounds; and an undersized scratch budget
-// reliably trips the structured MemoryBudgetExceeded diagnostic (negative
-// tests) without mutating the sketches.
+// match the O(1/phi) phase bounds; an undersized scratch budget reliably
+// trips the structured MemoryBudgetExceeded diagnostic (negative tests)
+// without mutating the sketches; and the incremental resident fold every
+// probe and delivery charges equals the full page-map scan
+// (VertexSketches::resident_words) after every step of every path that
+// allocates or removes pages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +17,10 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
+#include "ingest/gutter_ingest.h"
+#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
+#include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
@@ -332,6 +338,220 @@ TEST(SimulationBudget, RejectsForeignRoutedBatchAndBadOrder) {
   EXPECT_THROW(sim.execute(routed, "order", vs, not_permutation), CheckError);
   const std::vector<std::uint64_t> too_short{0, 1};
   EXPECT_THROW(sim.execute(routed, "order", vs, too_short), CheckError);
+}
+
+// --- incremental resident fold ----------------------------------------------
+
+// The fold the simulator charges must equal the full page-map scan on
+// every machine, word for word.
+void expect_fold_matches_scan(mpc::Simulator& sim, const VertexSketches& vs,
+                              const mpc::Cluster& cluster,
+                              const std::string& where) {
+  const std::span<const std::uint64_t> fold = sim.resident_fold(vs);
+  ASSERT_EQ(fold.size(), cluster.machines()) << where;
+  for (std::uint64_t m = 0; m < cluster.machines(); ++m)
+    EXPECT_EQ(fold[m], vs.resident_words(m, cluster))
+        << where << " machine " << m;
+}
+
+TEST(ResidentFold, EqualsFullScanWithoutRefoldOnSteadyStreams) {
+  // 64 machines over 48 vertices leaves empty vertex blocks; 1 machine
+  // leaves no block boundary at all.  Both streams allocate pages in most
+  // batches; deletes never free one, so neither stream ever refolds.
+  const VertexId n = 48;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 47001;
+  const std::vector<EdgeDelta> streams[] = {random_deltas(n, 480, 47002),
+                                            test::er_deltas(n, 480, 47003)};
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (const std::uint64_t machines : {1u, 4u, 64u}) {
+      const std::string where = "stream " + std::to_string(s) +
+                                " machines=" + std::to_string(machines);
+      mpc::Cluster cluster = test::make_cluster(n, machines);
+      mpc::Simulator sim(cluster);
+      VertexSketches vs(n, cfg);
+      expect_fold_matches_scan(sim, vs, cluster, where + " empty");
+      mpc::RoutedBatch routed;
+      const std::span<const EdgeDelta> deltas(streams[s]);
+      for (std::size_t start = 0; start < deltas.size(); start += 40) {
+        cluster.route_batch(deltas.subspan(start, 40), n, routed);
+        ASSERT_TRUE(sim.probe(routed, vs).fits);
+        sim.execute(routed, "fold-steady", vs);
+        expect_fold_matches_scan(sim, vs, cluster,
+                                 where + " start=" + std::to_string(start));
+      }
+      EXPECT_EQ(sim.stats().resident_refolds, 0u) << where;
+      EXPECT_EQ(vs.resident_refolds(), 0u) << where;
+    }
+  }
+}
+
+TEST(ResidentFold, RollbackForcesRefoldAndRetryFoldsIncrementally) {
+  const VertexId n = 64;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 47201;
+  const auto deltas = random_deltas(n, 120, 47202);
+  const std::span<const EdgeDelta> all(deltas);
+
+  // Bare simulator, one planned cell fault inside batch 2's step window
+  // (batch 1 addresses every machine: steps [0, 16)).
+  mpc::FaultInjector injector;
+  injector.add_cell_fault(16 + 3);
+  mpc::Cluster cluster = test::make_cluster(n, machines);
+  mpc::Simulator sim(cluster, 0, 2);
+  sim.attach_fault_injector(&injector);
+  VertexSketches vs(n, cfg);
+  mpc::RoutedBatch routed;
+  cluster.route_batch(all.first(60), n, routed);
+  sim.execute(routed, "fold-phase-1", vs);
+  expect_fold_matches_scan(sim, vs, cluster, "after batch 1");
+  ASSERT_EQ(sim.stats().cell_steps, 16u);
+  EXPECT_EQ(sim.stats().resident_refolds, 0u);
+
+  cluster.route_batch(all.subspan(60), n, routed);
+  EXPECT_THROW(sim.execute(routed, "fold-phase-2", vs), mpc::TransientFault);
+  ASSERT_EQ(sim.stats().rollbacks, 1u);
+  expect_fold_matches_scan(sim, vs, cluster, "after rollback");
+  EXPECT_EQ(sim.stats().resident_refolds, 1u);
+
+  sim.execute(routed, "fold-phase-2-retry", vs);
+  expect_fold_matches_scan(sim, vs, cluster, "after retry");
+  EXPECT_EQ(sim.stats().resident_refolds, 1u);
+}
+
+TEST(ResidentFold, SeededFaultPlanRetriesThroughSchedulerMatchScan) {
+  const VertexId n = 96;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg;
+  cfg.banks = 5;
+  cfg.seed = 47301;
+  const auto deltas = random_deltas(n, 600, 47302);
+  mpc::FaultInjector::RandomPlanConfig pc;
+  pc.seed = 47303;
+  pc.machines = machines;
+  pc.cell_faults = 6;
+  pc.step_horizon = 200;
+  mpc::FaultInjector injector = mpc::FaultInjector::random_plan(pc);
+  mpc::Cluster cluster = test::make_cluster(n, machines);
+  mpc::Simulator sim(cluster);
+  sim.attach_fault_injector(&injector);
+  mpc::SchedulerConfig sc;
+  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.grow = mpc::GrowPolicy::kNone;
+  sc.max_retries = 8;
+  mpc::BatchScheduler sched(cluster, sim, sc);
+  VertexSketches vs(n, cfg);
+  for (std::size_t start = 0; start < deltas.size(); start += 30) {
+    const std::size_t len = std::min<std::size_t>(30, deltas.size() - start);
+    sched.execute(std::span<const EdgeDelta>(deltas).subspan(start, len), n,
+                  "fold-faults", vs);
+    expect_fold_matches_scan(sim, vs, cluster, std::to_string(start));
+  }
+  ASSERT_GT(sim.stats().rollbacks, 0u);
+  EXPECT_GT(sched.stats().retries, 0u);
+  // Each rollback removes pages, so the next fold starts over — and only
+  // then.
+  EXPECT_EQ(sim.stats().resident_refolds, sim.stats().rollbacks);
+}
+
+TEST(ResidentFold, GrowChangesMachineCountAndRefolds) {
+  // A star stream whose resident shards outgrow the budget at P machines
+  // but fit at 2P: the scheduler doubles the cluster mid-stream.
+  const VertexId n = 128;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 47401;
+  const auto inserts = test::star_deltas(n);
+  std::uint64_t resident_2p = 0;
+  {
+    mpc::Cluster wide = test::make_cluster(n, 2 * machines);
+    VertexSketches full(n, cfg);
+    full.update_edges(inserts);
+    for (std::uint64_t m = 0; m < 2 * machines; ++m)
+      resident_2p = std::max(resident_2p, full.resident_words(m, wide));
+  }
+  mpc::Cluster cluster = test::make_cluster(n, machines, 0.5, true);
+  mpc::Simulator sim(cluster,
+                     resident_2p + 16 * mpc::RoutedBatch::kWordsPerDelta);
+  mpc::SchedulerConfig sc;
+  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.grow = mpc::GrowPolicy::kDouble;
+  mpc::BatchScheduler sched(cluster, sim, sc);
+  VertexSketches vs(n, cfg);
+  for (std::size_t start = 0; start < inserts.size(); start += 8) {
+    const std::size_t len = std::min<std::size_t>(8, inserts.size() - start);
+    sched.execute(std::span<const EdgeDelta>(inserts).subspan(start, len), n,
+                  "fold-grow", vs);
+    expect_fold_matches_scan(sim, vs, cluster, std::to_string(start));
+    EXPECT_EQ(sim.stats().resident_refolds, sched.stats().grows) << start;
+  }
+  ASSERT_EQ(sched.stats().grows, 1u);
+  EXPECT_EQ(cluster.machines(), 2 * machines);
+  EXPECT_GT(sched.stats().grow_words, 0u);
+}
+
+TEST(ResidentFold, GutterDeltaMergesFoldIncrementally) {
+  // Async drains merge worker-built delta sketches into the resident
+  // arenas (BankArena::merge_from); the workers' scratch arenas reset
+  // between jobs, which must not disturb the resident fold.
+  const VertexId n = 96;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 47501;
+  const auto deltas = random_deltas(n, 800, 47502);
+  mpc::Cluster cluster = test::make_cluster(n, machines);
+  mpc::Simulator sim(cluster);
+  VertexSketches vs(n, cfg);
+  GutterIngestConfig gc;
+  gc.gutter_capacity = 16;
+  gc.drain_threads = 2;
+  GutterIngest gutter(n, vs, gc, &cluster, mpc::ExecMode::kRouted);
+  for (std::size_t start = 0; start < deltas.size(); start += 100) {
+    const std::size_t len = std::min<std::size_t>(100, deltas.size() - start);
+    gutter.submit(std::span<const EdgeDelta>(deltas).subspan(start, len));
+    gutter.flush();
+    expect_fold_matches_scan(sim, vs, cluster, std::to_string(start));
+  }
+  EXPECT_GT(gutter.stats().delta_batches, 0u);
+  EXPECT_EQ(sim.stats().resident_refolds, 0u);
+}
+
+TEST(ResidentFold, TwoSketchSetsShareOneSimulator) {
+  // Each sketch set keeps its own fold, so alternating between them is
+  // still incremental (no refold on every switch).
+  const VertexId n = 80;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg_a;
+  cfg_a.banks = 3;
+  cfg_a.seed = 47601;
+  GraphSketchConfig cfg_b;
+  cfg_b.banks = 5;
+  cfg_b.seed = 47602;
+  const auto deltas_a = random_deltas(n, 300, 47603);
+  const auto deltas_b = random_deltas(n, 300, 47604);
+  mpc::Cluster cluster = test::make_cluster(n, machines);
+  mpc::Simulator sim(cluster);
+  VertexSketches a(n, cfg_a);
+  VertexSketches b(n, cfg_b);
+  mpc::RoutedBatch routed;
+  for (std::size_t start = 0; start < 300; start += 50) {
+    cluster.route_batch(std::span<const EdgeDelta>(deltas_a).subspan(start, 50),
+                        n, routed);
+    sim.execute(routed, "fold-a", a);
+    expect_fold_matches_scan(sim, a, cluster, "a " + std::to_string(start));
+    expect_fold_matches_scan(sim, b, cluster, "b " + std::to_string(start));
+    cluster.route_batch(std::span<const EdgeDelta>(deltas_b).subspan(start, 50),
+                        n, routed);
+    sim.execute(routed, "fold-b", b);
+    expect_fold_matches_scan(sim, b, cluster, "b " + std::to_string(start));
+    expect_fold_matches_scan(sim, a, cluster, "a " + std::to_string(start));
+  }
+  EXPECT_EQ(sim.stats().resident_refolds, 0u);
 }
 
 }  // namespace
